@@ -248,7 +248,11 @@ func run(cfg Config, id, format string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("interference: unknown experiment %q (see Experiments())", id)
 	}
-	return core.WriteTables(w, format, e.Run(env))
+	// An isolated scope, as the campaign runner uses, so the worlds the
+	// experiment builds are shut down once it returns.
+	iso := env.Isolated()
+	defer iso.Release()
+	return core.WriteTables(w, format, e.Run(iso))
 }
 
 // ClusterSpec returns a human-readable description of a preset.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 )
 
 // The world arena recycles fully-drained simulated worlds (cluster +
@@ -18,11 +19,17 @@ import (
 //
 // Pooling is restricted to worlds that are provably clean:
 //
+//   - built inside a point execution, whose record (including its meter
+//     reads) is sealed before the world is released;
 //   - healthy (no fault injector): fault schedules leave retransmission
 //     timers, watchers and per-run injector state behind;
 //   - legacy two-node network (no fabric): fabric experiments size their
 //     own clusters and bypass newWorld anyway;
 //   - drained kernel: no pending events and no live processes.
+//
+// Every other world is shut down when its scope is released, which
+// stops its process coroutines — parked ones and ones left blocked
+// mid-body — so they do not outlive it.
 //
 // Worlds are keyed by the node shape so a point that mutates per-spec
 // scalars (frequencies, bandwidths, NIC parameters) still reuses a
@@ -34,12 +41,17 @@ type pooledWorld struct {
 	w *mpi.World
 }
 
-// worldKeeper collects the worlds one point execution builds, so they
-// can be released together once the point's record (including its meter
-// reads) is sealed. Point execution is single-threaded, so the keeper
-// needs no lock.
+// worldKeeper collects the worlds one scope builds — a point execution
+// or an experiment attempt (see Env.Isolated) — so they can be released
+// together once the scope's accounting is sealed. A scope runs on one
+// goroutine, so the keeper needs no lock.
 type worldKeeper struct {
-	worlds []pooledWorld
+	// pool marks a point-execution scope, whose eligible worlds are
+	// recycled through the arena.
+	pool bool
+	// worlds are pool-eligible; kernels belong to every other world.
+	worlds  []pooledWorld
+	kernels []*sim.Kernel
 }
 
 // worldArena is the global shape-keyed freelist.
@@ -50,9 +62,10 @@ type worldArena struct {
 }
 
 // arenaCap bounds the total number of parked worlds. Each world keeps
-// its parked coroutine goroutines alive, so the bound also bounds the
-// goroutine high-water mark; beyond it released worlds are shut down
-// instead of pooled.
+// its finished processes' coroutines parked for reuse (each one a
+// runtime coroutine with its own stack), so the bound also bounds that
+// high-water mark; beyond it released worlds are shut down instead of
+// pooled.
 const arenaCap = 96
 
 var arena = worldArena{free: map[machine.ShapeKey][]pooledWorld{}}
@@ -88,18 +101,23 @@ func (a *worldArena) put(pw pooledWorld) {
 	a.mu.Unlock()
 }
 
-// releaseWorlds returns every world a point execution built to the
-// arena, keeping only those that are provably drained and were eligible
-// for pooling in the first place (newWorld only records such worlds).
+// releaseWorlds ends a scope: pool-eligible worlds that are provably
+// drained return to the arena, and every other world is shut down.
 func releaseWorlds(keep *worldKeeper) {
 	for i, pw := range keep.worlds {
 		keep.worlds[i] = pooledWorld{}
 		if !pw.c.K.Idle() || pw.c.K.LiveProcs() != 0 {
 			// A panicked or abandoned run left the world mid-flight;
-			// dropping it is always safe.
+			// it is never recycled.
+			pw.c.K.Shutdown()
 			continue
 		}
 		arena.put(pw)
 	}
 	keep.worlds = keep.worlds[:0]
+	for i, k := range keep.kernels {
+		keep.kernels[i] = nil
+		k.Shutdown()
+	}
+	keep.kernels = keep.kernels[:0]
 }

@@ -61,9 +61,9 @@ type Env struct {
 	// records; production campaigns leave it false.
 	NoPool bool
 
-	// keeper, set by ExecutePoint on the point's isolated clone,
-	// collects the worlds the point builds so they can be recycled once
-	// its record is sealed. Nil outside point execution (no pooling).
+	// keeper, opened by Isolated, collects the worlds built under the
+	// isolated environment so Release can recycle or shut them down.
+	// ExecutePoint's keeper pools; an experiment's does not.
 	keeper *worldKeeper
 }
 
@@ -71,6 +71,10 @@ type Env struct {
 // state with the receiver: the spec is deep-copied and the copy gets
 // its own fresh Meter. Concurrent experiments must each run against
 // their own isolated Env.
+//
+// The copy also opens a world scope: every world its drivers build is
+// recorded, and Release shuts them down. The scope is single-goroutine,
+// like the driver code that builds worlds.
 func (e Env) Isolated() Env {
 	e.Spec = e.Spec.Clone()
 	e.Meter = &Meter{}
@@ -78,17 +82,28 @@ func (e Env) Isolated() Env {
 		fab := *e.Fabric
 		e.Fabric = &fab
 	}
-	// World recycling is scoped to one point execution; an isolated
-	// clone starts outside any such scope (ExecutePoint installs its
-	// own keeper explicitly).
-	e.keeper = nil
+	e.keeper = &worldKeeper{}
 	return e
 }
 
-// track registers a freshly built world's kernel with the meter.
+// Release ends the world scope Isolated opened: every world built under
+// it is shut down, so no simulated process outlives the scope — except
+// pool-eligible worlds of a point execution, which return to the arena
+// (see arena.go). Call it once the scope's accounting (meter reads) is
+// sealed; the environment must not build worlds afterwards.
+func (e Env) Release() {
+	if e.keeper != nil {
+		releaseWorlds(e.keeper)
+	}
+}
+
+// track registers a freshly built world's kernel with the meter and
+// with the enclosing world scope, which shuts the kernel down on
+// Release. Pool-eligible worlds bypass it (see newWorld).
 func (e Env) track(k *sim.Kernel) {
-	if e.Meter != nil {
-		e.Meter.track(k)
+	e.Meter.track(k)
+	if e.keeper != nil {
+		e.keeper.kernels = append(e.keeper.kernels, k)
 	}
 }
 
@@ -199,13 +214,13 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 	// recycled through the arena: a pooled world is rewound to exactly
 	// the state a fresh build would have, so the event sequence — and
 	// therefore every golden — is unchanged.
-	poolable := env.keeper != nil && !env.NoPool && env.Faults == nil && env.Fabric == nil
+	poolable := env.keeper != nil && env.keeper.pool && !env.NoPool && env.Faults == nil && env.Fabric == nil
 	if poolable {
 		if pw, ok := arena.get(machine.ShapeOf(env.Spec)); ok {
 			pw.c.Reset(env.Spec, seed)
 			pw.w.Network().Reset()
 			pw.w.Reset()
-			env.track(pw.c.K)
+			env.Meter.track(pw.c.K)
 			if env.Meter != nil {
 				for _, n := range pw.c.Nodes {
 					env.Meter.TrackCounters(n.Counters)
@@ -216,7 +231,11 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 		}
 	}
 	c := machine.NewCluster(env.Spec, 2, seed)
-	env.track(c.K)
+	if poolable {
+		env.Meter.track(c.K) // kept below for the arena
+	} else {
+		env.track(c.K)
+	}
 	var nw *net.Network
 	if env.Fabric != nil {
 		// NewFabric rejects a fabric whose host count differs from the

@@ -37,7 +37,11 @@ func (m *Meter) Absorb(simSeconds float64, worlds int, faults FaultTotals) {
 	m.mu.Unlock()
 }
 
+// track registers a world's kernel; a nil meter ignores it.
 func (m *Meter) track(k *sim.Kernel) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	m.kernels = append(m.kernels, k)
 	m.mu.Unlock()
@@ -120,6 +124,19 @@ func (m *Meter) FaultTotals() FaultTotals {
 		t.add(s)
 	}
 	return t
+}
+
+// Switches sums the process resumes of the worlds this meter tracked
+// directly. Absorbed sweep points are not included: their counts are
+// not part of the cached record (see PointRecord.Switches).
+func (m *Meter) Switches() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var n uint64
+	for _, k := range m.kernels {
+		n += k.Switches()
+	}
+	return n
 }
 
 // SimSeconds returns the total simulated time covered by the tracked

@@ -73,6 +73,11 @@ type PointRecord struct {
 	// that owns it, not the one that happened to run it). Never stored
 	// in the cache.
 	Panic any `json:"-"`
+	// Switches is the number of process resumes the execution's worlds
+	// performed (sim.Kernel.Switches), an exact work counter for tests.
+	// Like Panic it is never stored: a record replayed from the cache
+	// reports zero.
+	Switches uint64 `json:"-"`
 }
 
 // PointRunner schedules compiled sweeps. The campaign runner installs
@@ -95,10 +100,10 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	// unit of scheduling, and re-entering the pool from inside a worker
 	// would only add queueing overhead.
 	iso.Sched = nil
-	// Worlds built for this point are recycled through the arena once
-	// the record below is sealed (see arena.go).
-	iso.keeper = &worldKeeper{}
-	defer releaseWorlds(iso.keeper)
+	// Worlds built for this point are recycled through the arena (or
+	// shut down) once the record below is sealed (see arena.go).
+	iso.keeper.pool = true
+	defer iso.Release()
 	rec := PointRecord{Schema: PointSchema, Key: p.Key}
 	var v any
 	func() {
@@ -121,6 +126,7 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	rec.SimSeconds = iso.Meter.SimSeconds()
 	rec.Worlds = iso.Meter.Worlds()
 	rec.Faults = iso.Meter.FaultTotals()
+	rec.Switches = iso.Meter.Switches()
 	return rec
 }
 

@@ -283,6 +283,13 @@ func (s *Set) Submit(spec server.CampaignSpec, deadline time.Duration, apiKey st
 	}
 }
 
+// respBufs recycles response read buffers across submissions. A
+// campaign response carries every rendered table, and reading it into a
+// fresh growing buffer per request was the client's largest allocation
+// (in-process with a daemon, it sets the shared heap's GC rate).
+// submitOnce copies whatever it keeps out of the buffer.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // submitOnce performs one POST /campaign against replica i.
 func (s *Set) submitOnce(i int, body []byte, deadline time.Duration, apiKey string) (*server.CampaignResponse, time.Duration, error) {
 	req, err := http.NewRequest(http.MethodPost, s.urls[i]+"/campaign", bytes.NewReader(body))
@@ -301,10 +308,13 @@ func (s *Set) submitOnce(i int, body []byte, deadline time.Duration, apiKey stri
 		return nil, 0, fmt.Errorf("submitting campaign to %s: %w", s.urls[i], err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer respBufs.Put(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, 0, fmt.Errorf("reading campaign response from %s: %w", s.urls[i], err)
 	}
+	payload := buf.Bytes()
 	switch {
 	case resp.StatusCode == http.StatusOK:
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:

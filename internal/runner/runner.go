@@ -233,6 +233,8 @@ func attemptOne(env bench.Env, e core.Experiment, index int, format string, dead
 func execute(env bench.Env, e core.Experiment, index int, format string) Result {
 	res := Result{Exp: e, Index: index}
 	iso := env.Isolated()
+	// Shut down the attempt's worlds once the metrics below are read.
+	defer iso.Release()
 	start := time.Now()
 	func() {
 		defer func() {

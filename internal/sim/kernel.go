@@ -72,10 +72,14 @@ type Kernel struct {
 	procs  int // live (not yet finished) processes
 	nsteps uint64
 	free   []*event // recycled event storage
-	// freeProcs holds finished processes whose goroutines are parked in
-	// their run loop, ready for the next Spawn; freeSigs holds recycled
+	// switches counts process resumes (see Switches).
+	switches uint64
+	// started lists every process whose coroutine this kernel created,
+	// for Shutdown. freeProcs holds the finished ones, parked in their
+	// run loop and ready for the next Spawn; freeSigs holds recycled
 	// signals (see GetSignal). Both make the steady-state churn of a
 	// simulation — and of a whole pooled world — allocation-free.
+	started   []*Proc
 	freeProcs []*Proc
 	freeSigs  []*Signal
 }
@@ -100,20 +104,35 @@ func (k *Kernel) Reset(seed int64) {
 	k.now = 0
 	k.seq = 0
 	k.nsteps = 0
+	k.switches = 0
 	k.rng.Seed(seed)
 }
 
-// Shutdown terminates the goroutines of the kernel's parked (recycled)
-// processes. Call it before abandoning a kernel that was used with
-// pooled Spawn so its idle goroutines don't outlive it; the kernel
-// remains usable, but the next Spawn starts a fresh goroutine.
+// Shutdown stops the coroutine of every process the kernel started.
+// Parked (recycled) processes exit; processes still blocked mid-body —
+// a deadlocked waiter, a rank abandoned by a crash, a monitor nobody
+// stopped — unwind: their deferred calls run, but their bodies never
+// resume. Call it, from outside any process or event handler, before
+// abandoning a kernel so its coroutines don't outlive it. The kernel
+// remains usable: pending events stay queued (wakeups of stopped
+// processes are no-ops) and the next Spawn starts a fresh coroutine.
 func (k *Kernel) Shutdown() {
-	for i, p := range k.freeProcs {
-		p.fn = nil
-		p.resumeCh <- struct{}{}
-		k.freeProcs[i] = nil
-	}
+	// An unwinding body's deferred calls may Spawn: empty the free list
+	// first so such a Spawn starts a fresh coroutine instead of
+	// reviving a stopped one, and index the loop so it reaches the
+	// appended process.
+	clear(k.freeProcs)
 	k.freeProcs = k.freeProcs[:0]
+	for i := 0; i < len(k.started); i++ {
+		p := k.started[i]
+		if !p.finished {
+			k.procs--
+		}
+		p.stop()
+		p.finished = true
+	}
+	clear(k.started)
+	k.started = k.started[:0]
 }
 
 // Now returns the current simulated instant.
@@ -124,6 +143,13 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Steps reports how many events have been executed so far.
 func (k *Kernel) Steps() uint64 { return k.nsteps }
+
+// Switches reports how many times control has passed from the kernel
+// into a process (first start and every wake after a block). The count
+// is a deterministic function of the simulation — the same seed and
+// workload always give the same number — so it serves as an exact work
+// counter for the process-switch layer.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // alloc takes an event from the free list, or makes a new one.
 func (k *Kernel) alloc() *event {

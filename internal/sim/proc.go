@@ -1,39 +1,61 @@
+// iter.Pull needs Go 1.23. The constraint raises this file's language
+// version without raising the module's go line, which modules that
+// depend on this one (such as perfbench, pinned at go 1.22) would
+// otherwise have to follow; go.mod's toolchain line selects a Go 1.23
+// toolchain.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated thread of control. Each Proc runs in its own
-// goroutine, but the kernel guarantees that at most one Proc (or event
-// handler) executes at any moment: control passes explicitly between the
-// kernel and the process, so simulations are deterministic and shared
-// state needs no locking.
+// Proc is a simulated thread of control. Each Proc runs as a runtime
+// coroutine (iter.Pull): control passes explicitly between the kernel
+// and the process by a direct coroutine switch, never through the Go
+// scheduler, and at most one Proc (or event handler) executes at any
+// moment, so simulations are deterministic and shared state needs no
+// locking.
 //
 // A Proc advances the clock only by blocking: Sleep, Signal.Wait, or any
 // higher-level operation built on them. Plain Go code inside a Proc takes
 // zero simulated time.
 type Proc struct {
-	k        *Kernel
-	name     string
-	resumeCh chan struct{}
-	yieldCh  chan struct{}
+	k    *Kernel
+	name string
+	// next resumes the coroutine until it yields (blocks or finishes);
+	// stop unwinds it for good. yieldFn is the coroutine's side of the
+	// switch, received when loop first runs.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
+	// finished: the current incarnation has returned, or the coroutine
+	// was stopped.
 	finished bool
 	panicVal any
-	blocked  bool // waiting on a Signal (not a timer)
 	// runFn is the p.run method value, captured once at first Spawn so
 	// the hot wake paths (Sleep, Signal) don't allocate a fresh
 	// bound-method closure per block.
 	runFn func()
 	// fn is the body of the current incarnation. Finished processes park
-	// their goroutine in loop() and are recycled by the next Spawn with a
-	// new fn; a nil fn on wake terminates the goroutine (Shutdown).
+	// their coroutine in loop() and are recycled by the next Spawn with
+	// a new fn.
 	fn func(*Proc)
 }
 
+// errStopped is the sentinel panic that unwinds the body of a process
+// whose coroutine is stopped (Kernel.Shutdown) while it is blocked:
+// deferred calls run, but control never returns into simulation code.
+var errStopped = new(int)
+
 // Spawn creates a process running fn. The process starts at the current
 // instant, after already-scheduled events for this instant. Process
-// storage — including the goroutine and its channels — is recycled
-// from previously finished processes of this kernel, so steady-state
-// process churn allocates nothing.
+// storage — including the coroutine — is recycled from previously
+// finished processes of this kernel, so steady-state process churn
+// allocates nothing.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(k.freeProcs); n > 0 {
@@ -44,41 +66,37 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		p.finished = false
 		p.fn = fn
 	} else {
-		p = &Proc{
-			k:        k,
-			name:     name,
-			resumeCh: make(chan struct{}),
-			yieldCh:  make(chan struct{}),
-			fn:       fn,
-		}
+		p = &Proc{k: k, name: name, fn: fn}
 		p.runFn = p.run
-		go p.loop()
+		p.next, p.stop = iter.Pull(p.loop)
+		k.started = append(k.started, p)
 	}
 	k.procs++
 	k.At(k.now, p.runFn)
 	return p
 }
 
-// loop is the body of a process goroutine: it runs one incarnation per
-// wake, yields the final time, and parks until Spawn hands it the next
-// body (or Shutdown wakes it with none).
-func (p *Proc) loop() {
+// loop is the body of a process coroutine: it runs one incarnation per
+// resume, yields the final time, and parks until Spawn hands it the
+// next body. It returns when the coroutine is stopped, either while
+// parked or by unwinding a blocked body.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yieldFn = yield
 	for {
-		<-p.resumeCh
-		fn := p.fn
-		if fn == nil {
+		p.call(p.fn)
+		// After stop, yield returns false at once.
+		if !yield(struct{}{}) {
 			return
 		}
-		p.call(fn)
-		p.yieldCh <- struct{}{}
 	}
 }
 
 // call runs one incarnation, capturing a panic so the kernel can
-// re-raise it from event context without losing the goroutine.
+// re-raise it from event context without losing the coroutine. The
+// errStopped sentinel is swallowed: it is how a stopped body unwinds.
 func (p *Proc) call(fn func(*Proc)) {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && r != errStopped {
 			p.panicVal = r
 		}
 		p.finished = true
@@ -89,14 +107,14 @@ func (p *Proc) call(fn func(*Proc)) {
 // run transfers control to the process and blocks the kernel until the
 // process yields (blocks) or finishes. Only ever called from kernel
 // (event handler) context. A finished process is parked for reuse
-// before any panic it raised is re-thrown: the goroutine survives
+// before any panic it raised is re-thrown: the coroutine survives
 // either way.
 func (p *Proc) run() {
 	if p.finished {
 		return
 	}
-	p.resumeCh <- struct{}{}
-	<-p.yieldCh
+	p.k.switches++
+	p.next()
 	if p.finished {
 		p.k.procs--
 		p.fn = nil
@@ -109,10 +127,12 @@ func (p *Proc) run() {
 }
 
 // yield suspends the process and returns control to the kernel. The
-// process must have arranged to be resumed (timer or signal) first.
+// process must have arranged to be resumed (timer or signal) first. If
+// the coroutine is stopped instead of resumed, yield unwinds the body.
 func (p *Proc) yield() {
-	p.yieldCh <- struct{}{}
-	<-p.resumeCh
+	if !p.yieldFn(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Kernel returns the kernel this process runs on.
@@ -184,7 +204,6 @@ func (s *Signal) BroadcastFn() func() {
 // Wait suspends p until another process or event calls Signal or
 // Broadcast.
 func (s *Signal) Wait(p *Proc) {
-	p.blocked = true
 	s.waiters = append(s.waiters, p)
 	p.yield()
 }
@@ -202,7 +221,6 @@ func (s *Signal) Signal() {
 	copy(s.waiters, s.waiters[1:])
 	s.waiters[n-1] = nil
 	s.waiters = s.waiters[:n-1]
-	p.blocked = false
 	s.k.At(s.k.now, p.runFn)
 }
 
@@ -227,7 +245,6 @@ func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
 			if w == p {
 				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
 				timedOut = true
-				p.blocked = false
 				s.k.At(s.k.now, p.runFn)
 				return
 			}

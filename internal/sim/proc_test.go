@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestProcSleepAdvancesClock(t *testing.T) {
 	k := NewKernel(1)
@@ -93,7 +97,7 @@ func TestDeadlockedProcIsReported(t *testing.T) {
 	if k.LiveProcs() != 1 {
 		t.Fatalf("LiveProcs = %d, want 1 (deadlocked)", k.LiveProcs())
 	}
-	// Unstick it so the goroutine exits cleanly.
+	// Unstick it so the process finishes and its coroutine parks.
 	s.Broadcast()
 	k.Run()
 	if k.LiveProcs() != 0 {
@@ -184,6 +188,150 @@ func TestSleepZeroYields(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// runPanic runs k and returns the value it panicked with, if any.
+func runPanic(k *Kernel) (v any) {
+	defer func() { v = recover() }()
+	k.Run()
+	return nil
+}
+
+// TestProcPanicReraisedAndRecycled: a process panic is re-raised from
+// Run with the process name, the kernel stays usable, and the panicked
+// process's storage is recycled by the next Spawn, which runs its new
+// body normally.
+func TestProcPanicReraisedAndRecycled(t *testing.T) {
+	k := NewKernel(1)
+	x := k.Spawn("x", func(p *Proc) {
+		p.Sleep(5)
+		panic("kaboom")
+	})
+	if got, want := runPanic(k), `sim: process "x" panicked: kaboom`; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after the panic, want 0", k.LiveProcs())
+	}
+	var doneAt Time
+	y := k.Spawn("y", func(p *Proc) {
+		p.Sleep(10)
+		doneAt = p.Now()
+	})
+	if y != x {
+		t.Error("Spawn after a panic did not recycle the finished process")
+	}
+	if v := runPanic(k); v != nil {
+		t.Fatalf("recycled process panicked: %v", v)
+	}
+	if doneAt != 15 || y.Name() != "y" {
+		t.Fatalf("recycled body finished at %v as %q, want 15 as \"y\"", doneAt, y.Name())
+	}
+}
+
+// TestShutdownUnwindsBlockedProc: Shutdown stops a process blocked on a
+// Signal by running its deferred calls without resuming its body; a
+// later wake of the stopped process is a no-op, and the kernel remains
+// usable.
+func TestShutdownUnwindsBlockedProc(t *testing.T) {
+	k := NewKernel(1)
+	s := NewSignal(k)
+	var deferred, resumed bool
+	k.Spawn("blocked", func(p *Proc) {
+		defer func() { deferred = true }()
+		s.Wait(p)
+		resumed = true
+	})
+	k.Run()
+	k.Shutdown()
+	if !deferred || resumed {
+		t.Fatalf("after Shutdown: deferred=%v resumed=%v, want true false", deferred, resumed)
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after Shutdown, want 0", k.LiveProcs())
+	}
+	s.Broadcast()
+	k.Run()
+	if resumed {
+		t.Fatal("a stopped process resumed its body")
+	}
+	ran := false
+	k.Spawn("after", func(p *Proc) {
+		p.Sleep(1)
+		ran = true
+	})
+	k.Run()
+	if !ran {
+		t.Fatal("kernel unusable after Shutdown")
+	}
+}
+
+// TestShutdownStopsCoroutines: every coroutine a kernel started —
+// parked after finishing, blocked on a signal, asleep on a pending
+// timer, or spawned by a deferred call while Shutdown unwinds — is gone
+// after Shutdown.
+func TestShutdownStopsCoroutines(t *testing.T) {
+	k := NewKernel(1)
+	s := NewSignal(k)
+	const n = 20
+	for i := 0; i < n; i++ {
+		k.Spawn("done", func(p *Proc) { p.Sleep(1) })
+		k.Spawn("stuck", func(p *Proc) {
+			defer k.Spawn("late", func(p *Proc) { p.Sleep(1) })
+			s.Wait(p)
+		})
+		k.Spawn("asleep", func(p *Proc) { p.Sleep(1000) })
+	}
+	k.RunUntil(10)
+	// Compare against the count just before Shutdown: goroutines of the
+	// runtime or the test framework may come and go meanwhile, but only
+	// stopped coroutines make the count drop by 3n and stay down.
+	before := runtime.NumGoroutine()
+	k.Shutdown()
+	want := before - 3*n
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines after Shutdown, want ≤ %d (%d before)", got, want, before)
+	}
+	k.Run() // the sleepers' pending wakeups are no-ops now
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after Shutdown, want 0", k.LiveProcs())
+	}
+}
+
+// TestSteadyStateSwitchesAllocateNothing: a Sleep switch, a Signal wake
+// and a Spawn→finish cycle with recycling allocate nothing once warm.
+func TestSteadyStateSwitchesAllocateNothing(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Shutdown()
+	s := NewSignal(k)
+	k.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			s.Wait(p)
+		}
+	})
+	k.RunUntil(k.Now())
+	body := func(p *Proc) { p.Sleep(1) }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"sleep switch", func() { k.Step() }},
+		{"signal wake", func() { s.Signal(); k.RunUntil(k.Now()) }},
+		{"spawn-finish", func() { k.Spawn("child", body); k.RunUntil(k.Now() + 1) }},
+	} {
+		if a := testing.AllocsPerRun(200, c.fn); a != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, a)
 		}
 	}
 }

@@ -80,6 +80,9 @@ func DefaultCounts(spec *topology.NodeSpec) []int {
 func runOnce(o Options, nworkers int) Point {
 	spec := o.Spec
 	c := machine.NewCluster(spec, 2, o.Seed)
+	// The world is done once the measurement is taken; stop its process
+	// coroutines rather than leave them parked.
+	defer c.K.Shutdown()
 	if o.Track != nil {
 		o.Track(c.K)
 	}
