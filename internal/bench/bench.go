@@ -97,13 +97,13 @@ func (e Env) Release() {
 	}
 }
 
-// track registers a freshly built world's kernel with the meter and
-// with the enclosing world scope, which shuts the kernel down on
-// Release. Pool-eligible worlds bypass it (see newWorld).
-func (e Env) track(k *sim.Kernel) {
-	e.Meter.track(k)
+// track registers a freshly built world with the meter and with the
+// enclosing world scope, which shuts its kernel down on Release.
+// Pool-eligible worlds bypass it (see newWorld).
+func (e Env) track(c *machine.Cluster) {
+	e.Meter.track(c)
 	if e.keeper != nil {
-		e.keeper.kernels = append(e.keeper.kernels, k)
+		e.keeper.kernels = append(e.keeper.kernels, c.K)
 	}
 }
 
@@ -220,7 +220,7 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 			pw.c.Reset(env.Spec, seed)
 			pw.w.Network().Reset()
 			pw.w.Reset()
-			env.Meter.track(pw.c.K)
+			env.Meter.track(pw.c)
 			if env.Meter != nil {
 				for _, n := range pw.c.Nodes {
 					env.Meter.TrackCounters(n.Counters)
@@ -232,9 +232,9 @@ func newWorld(env Env, seed int64) (*machine.Cluster, *mpi.World) {
 	}
 	c := machine.NewCluster(env.Spec, 2, seed)
 	if poolable {
-		env.Meter.track(c.K) // kept below for the arena
+		env.Meter.track(c) // kept below for the arena
 	} else {
-		env.track(c.K)
+		env.track(c)
 	}
 	var nw *net.Network
 	if env.Fabric != nil {

@@ -56,7 +56,7 @@ func ExtCollectives(env Env) *trace.Table {
 // `computeCores` STREAM cores per node running beside it.
 func runCollective(env Env, op string, nodes int, size int64, computeCores int) sim.Duration {
 	c := machine.NewCluster(env.Spec, nodes, env.Seed)
-	env.track(c.K)
+	env.track(c)
 	w := mpi.NewWorld(c, net.New(c))
 	stop := false
 	for _, node := range c.Nodes {

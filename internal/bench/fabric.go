@@ -28,7 +28,7 @@ import (
 func fabricWorld(env Env, spec *topology.FabricSpec, adaptive bool, seed int64) (*machine.Cluster, *net.Network) {
 	fab := spec.MustBuild()
 	c := machine.NewCluster(env.Spec, fab.NHosts, seed)
-	env.track(c.K)
+	env.track(c)
 	nw := net.NewFabric(c, spec, adaptive)
 	if env.Faults != nil {
 		nw.InstallFaults(fault.NewInjector(c, env.Faults, seed))

@@ -4,19 +4,20 @@ import (
 	"sync"
 
 	"repro/internal/counters"
+	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
 // Meter accumulates execution accounting for one experiment: every
-// simulated world the drivers build registers its kernel, so that after
+// simulated world the drivers build registers its cluster, so that after
 // the experiment returns the harness can report how many worlds were
 // simulated and how much simulated time they covered. A Meter is safe
 // for concurrent use, but the usual pattern is one Meter per experiment
 // (see Env.Isolated and the runner package).
 type Meter struct {
-	mu      sync.Mutex
-	kernels []*sim.Kernel
-	sets    []*counters.Set
+	mu     sync.Mutex
+	worlds []*machine.Cluster
+	sets   []*counters.Set
 	// Absorbed sweep-point accounting (see Absorb): worlds simulated
 	// under a point's own meter, including points replayed from cache.
 	absorbedSim    float64
@@ -37,13 +38,13 @@ func (m *Meter) Absorb(simSeconds float64, worlds int, faults FaultTotals) {
 	m.mu.Unlock()
 }
 
-// track registers a world's kernel; a nil meter ignores it.
-func (m *Meter) track(k *sim.Kernel) {
+// track registers a world; a nil meter ignores it.
+func (m *Meter) track(c *machine.Cluster) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.kernels = append(m.kernels, k)
+	m.worlds = append(m.worlds, c)
 	m.mu.Unlock()
 }
 
@@ -52,7 +53,7 @@ func (m *Meter) track(k *sim.Kernel) {
 func (m *Meter) Worlds() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.kernels) + m.absorbedWorlds
+	return len(m.worlds) + m.absorbedWorlds
 }
 
 // TrackCounters registers one node's counter set so the harness can
@@ -126,15 +127,33 @@ func (m *Meter) FaultTotals() FaultTotals {
 	return t
 }
 
-// Switches sums the process resumes of the worlds this meter tracked
-// directly. Absorbed sweep points are not included: their counts are
-// not part of the cached record (see PointRecord.Switches).
+// Steps sums the kernel events run (sim.Kernel.Steps) by the worlds
+// this meter tracked directly. Like Switches and Solves it is an exact
+// work counter; absorbed sweep points are not included, since their
+// counts are not part of the cached record (see PointRecord.Switches).
+func (m *Meter) Steps() uint64 {
+	return m.sum(func(c *machine.Cluster) uint64 { return c.K.Steps() })
+}
+
+// Switches sums the process resumes (sim.Kernel.Switches) of the
+// worlds this meter tracked directly.
 func (m *Meter) Switches() uint64 {
+	return m.sum(func(c *machine.Cluster) uint64 { return c.K.Switches() })
+}
+
+// Solves sums the fluid re-solves (fluid.Model.Solves) of the worlds
+// this meter tracked directly.
+func (m *Meter) Solves() uint64 {
+	return m.sum(func(c *machine.Cluster) uint64 { return c.Fluid.Solves() })
+}
+
+// sum adds up one counter over the tracked worlds.
+func (m *Meter) sum(count func(*machine.Cluster) uint64) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n uint64
-	for _, k := range m.kernels {
-		n += k.Switches()
+	for _, c := range m.worlds {
+		n += count(c)
 	}
 	return n
 }
@@ -146,8 +165,8 @@ func (m *Meter) SimSeconds() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	total := m.absorbedSim
-	for _, k := range m.kernels {
-		total += sim.Duration(k.Now()).Seconds()
+	for _, c := range m.worlds {
+		total += sim.Duration(c.K.Now()).Seconds()
 	}
 	return total
 }

@@ -73,11 +73,13 @@ type PointRecord struct {
 	// that owns it, not the one that happened to run it). Never stored
 	// in the cache.
 	Panic any `json:"-"`
-	// Switches is the number of process resumes the execution's worlds
-	// performed (sim.Kernel.Switches), an exact work counter for tests.
-	// Like Panic it is never stored: a record replayed from the cache
-	// reports zero.
+	// Steps, Switches and Solves are exact work counters of the
+	// execution's worlds, for tests: kernel events run, process resumes
+	// and fluid re-solves (see Meter.Steps). Like Panic they are never
+	// stored: a record replayed from the cache reports zero.
+	Steps    uint64 `json:"-"`
 	Switches uint64 `json:"-"`
+	Solves   uint64 `json:"-"`
 }
 
 // PointRunner schedules compiled sweeps. The campaign runner installs
@@ -126,7 +128,9 @@ func ExecutePoint(env Env, p Point) PointRecord {
 	rec.SimSeconds = iso.Meter.SimSeconds()
 	rec.Worlds = iso.Meter.Worlds()
 	rec.Faults = iso.Meter.FaultTotals()
+	rec.Steps = iso.Meter.Steps()
 	rec.Switches = iso.Meter.Switches()
+	rec.Solves = iso.Meter.Solves()
 	return rec
 }
 

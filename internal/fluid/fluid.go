@@ -12,7 +12,8 @@
 //
 // The model is driven by a sim.Kernel: whenever the flow set or a
 // capacity changes, rates are re-solved and the next flow completion is
-// (re)scheduled as a simulation event.
+// (re)scheduled as a simulation event. A batch scope (Hold/Release)
+// folds several same-instant mutations into one re-solve.
 //
 // # Solver implementation
 //
@@ -172,6 +173,11 @@ type Model struct {
 	solves     uint64
 	epoch      uint64 // component-traversal epoch
 
+	// held is the nesting depth of open batch scopes (see Hold);
+	// pending records a mutation whose re-solve a scope deferred.
+	held    int
+	pending bool
+
 	// reference forces the original whole-model map-based solver on
 	// every re-solve (benchmarks and differential tests).
 	reference bool
@@ -215,8 +221,64 @@ func NewModel(k *sim.Kernel) *Model {
 }
 
 // Solves reports how many times an allocation was recomputed (full or
-// component-scoped; for performance diagnostics).
+// component-scoped; for performance diagnostics). A re-solve of a
+// component without flows (a capacity change on an idle resource) only
+// clears loads and is not counted, so building or resetting a world
+// never moves the count.
 func (m *Model) Solves() uint64 { return m.solves }
+
+// Hold opens a batch scope. Until the matching Release, SetCapacity,
+// SetCap, Start and Cancel still advance the clock and record what they
+// touched, but defer the re-solve; the outermost Release runs it once,
+// over the union of the touched components. Scopes nest. No simulated
+// time may pass while a re-solve is deferred, and rates, loads and
+// Finished read inside a scope are those of the last re-solve.
+//
+// The single re-solve replaces the chain of per-mutation re-solves bit
+// for bit as long as none of those would have completed a flow (see
+// DESIGN.md §4, "Batched mutations"): rates are a pure function of
+// component state, and the flow list changes the same way. A mutation
+// whose re-solve could complete one therefore re-solves at once: a
+// zero-work Start, or the scope's first deferred mutation while some
+// flow is within one clock tick of completion.
+func (m *Model) Hold() { m.held++ }
+
+// Release closes the innermost batch scope; closing the outermost one
+// runs the deferred re-solve, if any.
+func (m *Model) Release() {
+	if m.held == 0 {
+		panic("fluid: Release without Hold")
+	}
+	m.held--
+	if m.held == 0 && m.pending {
+		m.resolve()
+	}
+}
+
+// settle ends a mutation: it re-solves now, or defers to the enclosing
+// batch scope. completes reports a mutation that finishes a flow by
+// itself (a zero-work Start).
+func (m *Model) settle(completes bool) {
+	if m.held > 0 && !completes && (m.pending || !m.anyDue()) {
+		m.pending = true
+		return
+	}
+	m.resolve()
+}
+
+// anyDue reports whether some flow completes before the next clock tick
+// at the current rates. A stricter test than collectDone's, so that a
+// rate raised inside the scope cannot make a flow complete that this
+// check let through (short of a tenfold rise).
+func (m *Model) anyDue() bool {
+	const tick = 1e-9 // seconds: one sim.Nanosecond
+	for _, f := range m.flows {
+		if f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < tick) {
+			return true
+		}
+	}
+	return false
+}
 
 // Version tags the solver's numerical behaviour. Bump it whenever a
 // change can alter any computed rate or completion time by even an ulp:
@@ -267,7 +329,7 @@ func (m *Model) SetCapacity(r *Resource, capacity float64) {
 	m.advance()
 	r.capacity = capacity
 	m.dirtyRes = append(m.dirtyRes, r)
-	m.resolve()
+	m.settle(false)
 }
 
 // StartFlow begins an activity of `work` units using the given
@@ -331,7 +393,7 @@ func (m *Model) Start(spec FlowSpec) *Flow {
 	}
 	m.flows = append(m.flows, f)
 	m.dirtyFlows = append(m.dirtyFlows, f)
-	m.resolve()
+	m.settle(spec.Work == 0)
 	return f
 }
 
@@ -369,7 +431,7 @@ func (m *Model) SetCap(f *Flow, cap float64) {
 	m.advance()
 	f.cap = cap
 	m.dirtyFlows = append(m.dirtyFlows, f)
-	m.resolve()
+	m.settle(false)
 }
 
 // Recycle returns a finished (completed or cancelled) flow's storage to
@@ -393,10 +455,14 @@ func (m *Model) Recycle(f *Flow) {
 // order, which the solver's arithmetic order depends on — and all
 // recycled storage. Resource capacities are NOT restored: the caller
 // re-applies them from its spec (frequency scaling may have moved
-// them). Must be called before the (reset) kernel schedules anything.
+// them). Must be called before the (reset) kernel schedules anything,
+// and never inside a batch scope.
 func (m *Model) Reset() {
 	if len(m.flows) != 0 {
 		panic("fluid: Reset with active flows")
+	}
+	if m.held != 0 {
+		panic("fluid: Reset inside a batch scope")
 	}
 	m.next.Stop()
 	m.lastUpdate = 0
@@ -417,7 +483,7 @@ func (m *Model) Cancel(f *Flow) {
 	}
 	m.remove(f)
 	f.finished = true
-	m.resolve()
+	m.settle(false)
 }
 
 // remove unlinks f from the flow list and from its resources'
@@ -464,6 +530,9 @@ func (m *Model) advance() {
 	if now == m.lastUpdate {
 		return
 	}
+	if m.pending {
+		panic("fluid: simulated time advanced inside a batch scope")
+	}
 	dt := now.Sub(m.lastUpdate).Seconds()
 	m.lastUpdate = now
 	for _, f := range m.flows {
@@ -482,13 +551,23 @@ const completeEps = 1e-10 // seconds
 // resolve recomputes the rates of every dirty component, fires
 // completions due now, and schedules the next completion event.
 func (m *Model) resolve() {
+	m.pending = false
 	// Completions may themselves add/remove flows from callbacks that run
 	// as separate events, so here we only: solve, complete-now, schedule.
 	for {
 		m.solveDirty()
-		done := m.collectDone()
+		done, next := m.collectDone()
 		if len(done) == 0 {
-			break
+			if m.differential && !m.reference {
+				// Check at quiescence, not after each scoped solve:
+				// mid-loop, a done-but-uncollected flow in an untouched
+				// component transiently keeps its old rate (the reference
+				// zeroes it a loop iteration early), and both states
+				// converge once the flow is removed.
+				m.checkOracle()
+			}
+			m.schedule(next)
+			return
 		}
 		for _, f := range done {
 			// The freed bandwidth redistributes inside f's component(s).
@@ -504,39 +583,36 @@ func (m *Model) resolve() {
 			}
 		}
 	}
-	if m.differential && !m.reference {
-		// Check at quiescence, not after each scoped solve: mid-loop, a
-		// done-but-uncollected flow in an untouched component transiently
-		// keeps its old rate (the reference zeroes it a loop iteration
-		// early), and both states converge once the flow is removed.
-		m.checkOracle()
-	}
-	m.schedule()
 }
 
-// collectDone returns flows whose remaining work is (numerically) zero,
-// in a scratch slice reused across calls.
-func (m *Model) collectDone() []*Flow {
+// collectDone returns the flows whose remaining work is (numerically)
+// zero, in a scratch slice reused across calls, and the earliest
+// completion time of the others in seconds (+Inf if none runs): when
+// nothing is done, that is the instant schedule arms, found in the
+// same pass.
+func (m *Model) collectDone() ([]*Flow, float64) {
 	m.done = m.done[:0]
-	for _, f := range m.flows {
-		if f.remaining <= 0 || (f.rate > 0 && f.remaining/f.rate < completeEps) {
-			m.done = append(m.done, f)
-		}
-	}
-	return m.done
-}
-
-// schedule arms the next-completion event.
-func (m *Model) schedule() {
-	m.next.Stop()
 	best := math.Inf(1)
 	for _, f := range m.flows {
+		if f.remaining <= 0 {
+			m.done = append(m.done, f)
+			continue
+		}
 		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < best {
+			t := f.remaining / f.rate
+			if t < completeEps {
+				m.done = append(m.done, f)
+			} else if t < best {
 				best = t
 			}
 		}
 	}
+	return m.done, best
+}
+
+// schedule arms the next-completion event best seconds from now.
+func (m *Model) schedule(best float64) {
+	m.next.Stop()
 	// Effectively-never completions (e.g. quasi-infinite background
 	// flows) are not scheduled at all; they are cancelled explicitly.
 	const horizon = 1e8 // seconds of simulated time, ≈3 years
@@ -665,7 +741,6 @@ func (m *Model) collectComponent() {
 // so plain max-min progressive filling over ρ yields the weighted,
 // prioritised allocation.
 func (m *Model) solveScoped() {
-	m.solves++
 	for _, r := range m.compRes {
 		r.load = 0
 		m.avail[r.id] = r.capacity
@@ -675,6 +750,7 @@ func (m *Model) solveScoped() {
 	if nf == 0 {
 		return
 	}
+	m.solves++
 	if cap(m.fixed) < nf {
 		m.fixed = make([]bool, nf)
 	}

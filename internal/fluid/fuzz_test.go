@@ -9,8 +9,8 @@ import (
 
 // runProgram drives the solver with an arbitrary byte-encoded sequence
 // of operations (add resources, start/cancel flows, change
-// capacities/caps, advance time), checking the core invariants after
-// every step: feasibility (no resource over capacity), cap respect,
+// capacities/caps, advance time, open/close a batch scope), checking
+// the core invariants after every step outside a scope: feasibility (no resource over capacity), cap respect,
 // and non-negative rates/remaining work. With differential set, every
 // re-solve is additionally shadowed by the reference solver (the
 // oracle panics on any disagreement beyond one ulp).
@@ -44,8 +44,15 @@ func runProgram(t *testing.T, program []byte, differential bool) {
 		}
 	}
 
+	held := false
+	release := func() {
+		if held {
+			m.Release()
+			held = false
+		}
+	}
 	for i := 0; i+1 < len(program); i += 2 {
-		op, arg := program[i]%7, float64(program[i+1])
+		op, arg := program[i]%8, float64(program[i+1])
 		switch op {
 		case 0, 1: // add resource
 			resources = append(resources, m.NewResource("r", 1+arg))
@@ -69,7 +76,8 @@ func runProgram(t *testing.T, program []byte, differential bool) {
 			if len(flows) > 0 {
 				m.Cancel(flows[int(arg)%len(flows)])
 			}
-		case 4: // advance time
+		case 4: // advance time (closing the scope: no time passes in one)
+			release()
 			k.RunUntil(k.Now().Add(sim.Duration(1+arg) * sim.Millisecond))
 		case 5: // change a capacity
 			if len(resources) > 0 {
@@ -82,9 +90,19 @@ func runProgram(t *testing.T, program []byte, differential bool) {
 					m.SetCap(fl, 1+arg)
 				}
 			}
+		case 7: // open a batch scope, or close the open one
+			if held {
+				release()
+			} else {
+				m.Hold()
+				held = true
+			}
 		}
-		check()
+		if !held {
+			check() // inside a scope, rates are the last re-solve's
+		}
 	}
+	release()
 	// Drain: every remaining event must fire without panicking.
 	k.RunUntil(k.Now().Add(sim.Duration(10 * sim.Second)))
 	check()
@@ -123,6 +141,10 @@ func FuzzFluid(f *testing.F) {
 	// Deep churn: starts and cancels alternating, stressing the
 	// free-list and adjacency swap-removal bookkeeping.
 	f.Add([]byte{1, 30, 1, 60, 2, 3, 3, 0, 2, 3, 3, 0, 2, 3, 3, 0, 2, 3, 4, 90})
+	// Batch scope: capacity, cap, start and cancel deferred to one
+	// re-solve, then a completion, then a second scope left open
+	// across an advance of the clock (which closes it).
+	f.Add([]byte{1, 40, 1, 80, 2, 9, 2, 9, 7, 0, 5, 0, 6, 1, 2, 20, 3, 0, 7, 0, 4, 60, 7, 0, 5, 1, 2, 4, 4, 30})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		runProgram(t, program, true)
 	})

@@ -25,7 +25,6 @@ import (
 // from scratch with the original algorithm, writing the results into
 // the model (rates into flows, loads into resources).
 func (m *Model) solveReferenceInPlace() {
-	m.solves++
 	n := len(m.flows)
 	for _, r := range m.resources {
 		r.load = 0
@@ -33,6 +32,7 @@ func (m *Model) solveReferenceInPlace() {
 	if n == 0 {
 		return
 	}
+	m.solves++
 	avail := make(map[*Resource]float64, len(m.resources))
 	wsum := make(map[*Resource]float64, len(m.resources))
 	for _, r := range m.resources {

@@ -11,10 +11,10 @@
 //   - the uncore frequency either follows demand (more active cores →
 //     higher uncore) or is pinned, as the paper does through the BIOS.
 //
-// Every transition is visible: listeners are notified (the machine layer
-// rescales compute-flow caps and memory-controller capacities) and an
-// optional trace records per-core frequency steps for Figure 2/3-style
-// plots.
+// Every transition is visible: listeners are notified of the cores and
+// domains that moved (the machine layer rescales those cores' compute-
+// flow caps and the memory-controller capacities) and an optional trace
+// records per-core frequency steps for Figure 2/3-style plots.
 package freq
 
 import (
@@ -74,10 +74,13 @@ type Model struct {
 	uncoreGHz     float64
 	activeByClass [3]int
 
-	listeners []func()
-	trace     []Sample
-	tracing   bool
-	energy    *energyState
+	listeners []Listener
+	// moved collects the cores whose frequency the running update
+	// changed, in ascending order (scratch, reused across updates).
+	moved   []int
+	trace   []Sample
+	tracing bool
+	energy  *energyState
 }
 
 // NewModel returns the frequency model for spec, with the performance
@@ -92,6 +95,7 @@ func NewModel(k *sim.Kernel, spec *topology.NodeSpec) *Model {
 		active:       make([]bool, spec.Cores()),
 		class:        make([]topology.VecClass, spec.Cores()),
 		coreGHz:      make([]float64, spec.Cores()),
+		moved:        make([]int, 0, spec.Cores()),
 	}
 	m.recompute()
 	return m
@@ -127,9 +131,14 @@ func (m *Model) Reset(spec *topology.NodeSpec) {
 	m.recompute()
 }
 
+// Listener is notified after frequencies change: cores lists the cores
+// whose frequency moved, in ascending order, and uncore reports whether
+// the uncore domain moved. cores is only valid during the call.
+type Listener func(cores []int, uncore bool)
+
 // OnChange registers fn to run after any frequency changes. Listeners
 // must not mutate the model.
-func (m *Model) OnChange(fn func()) { m.listeners = append(m.listeners, fn) }
+func (m *Model) OnChange(fn Listener) { m.listeners = append(m.listeners, fn) }
 
 // SetGovernor selects the frequency policy for all cores.
 func (m *Model) SetGovernor(g Governor) {
@@ -183,19 +192,20 @@ func (m *Model) SetUncoreDynamic() {
 // SetActive marks a core as running code of the given vector class.
 func (m *Model) SetActive(core int, class topology.VecClass) {
 	m.checkCore(core)
+	if m.active[core] && m.class[core] == class {
+		return
+	}
+	m.accrueEnergy() // charge the elapsed interval at the old state
+	var moved classSet
 	if m.active[core] {
-		if m.class[core] == class {
-			return
-		}
-		m.accrueEnergy() // charge the elapsed interval at the old state
-		m.activeByClass[m.class[core]]--
-	} else {
-		m.accrueEnergy()
+		moved[m.class[core]] = m.count(m.class[core], -1)
 	}
 	m.active[core] = true
 	m.class[core] = class
-	m.activeByClass[class]++
-	m.recompute()
+	if m.count(class, +1) {
+		moved[class] = true
+	}
+	m.retune(core, moved)
 }
 
 // SetIdle marks a core as idle.
@@ -205,9 +215,39 @@ func (m *Model) SetIdle(core int) {
 		return
 	}
 	m.accrueEnergy() // charge the elapsed interval at the old state
+	var moved classSet
 	m.active[core] = false
-	m.activeByClass[m.class[core]]--
-	m.recompute()
+	moved[m.class[core]] = m.count(m.class[core], -1)
+	m.retune(core, moved)
+}
+
+// classSet holds one flag per vector class (indexed like activeByClass).
+type classSet [len(Model{}.activeByClass)]bool
+
+// count moves a class's active-core census by delta and reports
+// whether that moved the class's turbo limit.
+func (m *Model) count(class topology.VecClass, delta int) bool {
+	t := m.spec.Freq.Turbo[class]
+	before := t.Limit(m.activeByClass[class])
+	m.activeByClass[class] += delta
+	return t.Limit(m.activeByClass[class]) != before
+}
+
+// retune is the incremental recompute after core toggled: a census
+// change can only move that core's own frequency, the frequencies of
+// the active cores in a class whose turbo limit moved, and the uncore.
+func (m *Model) retune(core int, moved classSet) {
+	m.moved = m.moved[:0]
+	if moved == (classSet{}) {
+		m.retarget(core)
+	} else {
+		for c := range m.coreGHz {
+			if c == core || (m.active[c] && moved[m.class[c]]) {
+				m.retarget(c)
+			}
+		}
+	}
+	m.publish()
 }
 
 func (m *Model) checkCore(core int) {
@@ -271,26 +311,36 @@ func (m *Model) StopTrace() []Sample {
 // anything moved. Energy is accrued at the old state first.
 func (m *Model) recompute() {
 	m.accrueEnergy()
-	changed := false
+	m.moved = m.moved[:0]
 	for c := range m.coreGHz {
-		f := m.targetFreq(c)
-		if f != m.coreGHz[c] {
-			m.coreGHz[c] = f
-			changed = true
-		}
+		m.retarget(c)
 	}
+	m.publish()
+}
+
+// retarget moves a core to its target frequency, noting the core if its
+// frequency changed.
+func (m *Model) retarget(core int) {
+	if f := m.targetFreq(core); f != m.coreGHz[core] {
+		m.coreGHz[core] = f
+		m.moved = append(m.moved, core)
+	}
+}
+
+// publish moves the uncore domain to its target, then records and
+// notifies listeners if the update moved any domain.
+func (m *Model) publish() {
 	u := m.targetUncore()
-	if u != m.uncoreGHz {
-		m.uncoreGHz = u
-		changed = true
+	uncore := u != m.uncoreGHz
+	m.uncoreGHz = u
+	if len(m.moved) == 0 && !uncore {
+		return
 	}
-	if changed {
-		if m.tracing {
-			m.record()
-		}
-		for _, fn := range m.listeners {
-			fn()
-		}
+	if m.tracing {
+		m.record()
+	}
+	for _, fn := range m.listeners {
+		fn(m.moved, uncore)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestReclassifyActiveCore(t *testing.T) {
 func TestListenersFireOnChangeOnly(t *testing.T) {
 	_, m := henriModel()
 	n := 0
-	m.OnChange(func() { n++ })
+	m.OnChange(func([]int, bool) { n++ })
 	m.SetActive(0, topology.Scalar)
 	if n == 0 {
 		t.Fatal("listener did not fire on activation")

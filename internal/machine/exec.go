@@ -119,33 +119,18 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 	if memNUMA < 0 {
 		memNUMA = coreNUMA
 	}
-	n.Freq.SetActive(core, spec.Class)
-	defer n.Freq.SetIdle(core)
-
 	start := p.Now()
 	done := n.cluster.K.GetSignal()
 
+	// Opening and closing the slice are one fluid batch each (see
+	// fluid.Model.Hold). The close is deferred so a panic, or a kernel
+	// Shutdown unwinding the wait below, still idles the core and leaves
+	// the stream census; stream names the NUMA node whose census the
+	// slice joined, -1 until it has.
+	stream := -1
+	defer n.closeSlice(core, &stream)
 	rk := &n.coreFlow[core]
-	rk.class = spec.Class
-	var flow *fluid.Flow
-	if spec.Bytes == 0 {
-		// Pure CPU: the flow is denominated in flops, capped by the
-		// core's flop ceiling (which tracks frequency changes).
-		rk.mem = false
-		rk.ai = 0
-		flow = n.cluster.Fluid.StartFlow(name, spec.Flops, rk.cap(), nil, done.BroadcastFn())
-	} else {
-		// Roofline: the flow is denominated in bytes; its rate is capped
-		// by the compute ceiling translated through the arithmetic
-		// intensity, and it shares the memory path fairly.
-		rk.mem = true
-		rk.ai = spec.Flops / spec.Bytes
-		n.addStream(memNUMA)
-		defer n.removeStream(memNUMA)
-		flow = n.cluster.Fluid.StartFlow(name, spec.Bytes, rk.cap(),
-			n.memPath(coreNUMA, memNUMA), done.BroadcastFn())
-	}
-	rk.flow = flow
+	flow := n.openSlice(rk, name, spec, coreNUMA, memNUMA, &stream, done.BroadcastFn())
 	rhoStart := 0.0
 	if spec.Bytes > 0 {
 		rhoStart = n.NUMA(memNUMA).Ctrl.Utilization()
@@ -160,6 +145,46 @@ func (n *Node) ExecCompute(p *sim.Proc, core int, spec ComputeSpec) sim.Duration
 	elapsed := p.Now().Sub(start)
 	n.accountExec(core, spec, memNUMA, exposure, rhoStart, elapsed)
 	return elapsed
+}
+
+// openSlice marks the core active, has a memory-bound slice join its
+// controller's stream census, and starts the slice's flow, deferring
+// the fluid re-solve to the end.
+func (n *Node) openSlice(rk *runningKernel, name string, spec ComputeSpec, coreNUMA, memNUMA int, stream *int, onDone func()) *fluid.Flow {
+	fl := n.cluster.Fluid
+	fl.Hold()
+	defer fl.Release()
+	n.Freq.SetActive(rk.core, spec.Class)
+	rk.class = spec.Class
+	if spec.Bytes == 0 {
+		// Pure CPU: the flow is denominated in flops, capped by the
+		// core's flop ceiling (which tracks frequency changes).
+		rk.mem = false
+		rk.ai = 0
+		rk.flow = fl.StartFlow(name, spec.Flops, rk.cap(), nil, onDone)
+		return rk.flow
+	}
+	// Roofline: the flow is denominated in bytes; its rate is capped by
+	// the compute ceiling translated through the arithmetic intensity,
+	// and it shares the memory path fairly.
+	rk.mem = true
+	rk.ai = spec.Flops / spec.Bytes
+	n.addStream(memNUMA)
+	*stream = memNUMA
+	rk.flow = fl.StartFlow(name, spec.Bytes, rk.cap(), n.memPath(coreNUMA, memNUMA), onDone)
+	return rk.flow
+}
+
+// closeSlice leaves the stream census the slice joined (if any) and
+// idles the core, deferring the fluid re-solve to the end.
+func (n *Node) closeSlice(core int, stream *int) {
+	fl := n.cluster.Fluid
+	fl.Hold()
+	defer fl.Release()
+	if *stream >= 0 {
+		n.removeStream(*stream)
+	}
+	n.Freq.SetIdle(core)
 }
 
 // computeName returns the cached default flow name of a core's compute

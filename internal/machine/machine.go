@@ -274,14 +274,19 @@ func (n *Node) Link(a, b int) *fluid.Resource {
 	return n.links[mkLinkKey(a, b)]
 }
 
-// onFreqChange rescales uncore-clocked controller capacities and the
-// rate caps of running compute flows.
-func (n *Node) onFreqChange() {
-	n.updateCtrlCapacities()
-	for i := range n.coreFlow {
-		rk := &n.coreFlow[i]
-		if rk.flow != nil && !rk.flow.Finished() {
-			n.cluster.Fluid.SetCap(rk.flow, rk.cap())
+// onFreqChange rescales the uncore-clocked controller capacities when
+// the uncore moved and the rate caps of the compute flows running on
+// the cores that moved, in one fluid re-solve.
+func (n *Node) onFreqChange(cores []int, uncore bool) {
+	fl := n.cluster.Fluid
+	fl.Hold()
+	defer fl.Release()
+	if uncore {
+		n.updateCtrlCapacities()
+	}
+	for _, c := range cores {
+		if rk := &n.coreFlow[c]; rk.flow != nil && !rk.flow.Finished() {
+			fl.SetCap(rk.flow, rk.cap())
 		}
 	}
 }

@@ -365,3 +365,53 @@ func TestExecComputeWorkerLocalData(t *testing.T) {
 		t.Fatal("probe did not run")
 	}
 }
+
+// TestExecComputeUnwindReleasesBatch: however an execution slice ends —
+// a panic while it opens, or a kernel Shutdown unwinding its wait —
+// the core goes idle, the stream census is left, and the fluid model's
+// batch scopes are closed, so the next mutation re-solves at once.
+func TestExecComputeUnwindReleasesBatch(t *testing.T) {
+	check := func(what string, c *Cluster) {
+		t.Helper()
+		n := c.Nodes[0]
+		if got := n.Freq.ActiveCores(); got != 0 {
+			t.Errorf("%s: %d cores still active", what, got)
+		}
+		if got := n.Streams(0); got != 0 {
+			t.Errorf("%s: %d streams left on NUMA 0", what, got)
+		}
+		if f := c.Fluid.StartFlow("probe", 1, 1, nil, nil); f.Rate() != 1 {
+			t.Errorf("%s: probe rate %v, want 1 — the fluid model is still held", what, f.Rate())
+		}
+	}
+	for _, tc := range []struct {
+		what string
+		spec ComputeSpec
+	}{
+		{"flow start panics", ComputeSpec{Flops: math.NaN(), Class: topology.Scalar}},
+		{"stream census panics", ComputeSpec{Flops: 1, Bytes: 1e6, Class: topology.Scalar, MemNUMA: 99}},
+	} {
+		c := henriCluster(t)
+		c.K.Spawn("t", func(p *sim.Proc) { c.Nodes[0].ExecCompute(p, 0, tc.spec) })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.what)
+				}
+			}()
+			c.K.Run()
+		}()
+		check(tc.what, c)
+	}
+
+	c := henriCluster(t)
+	c.K.Spawn("t", func(p *sim.Proc) {
+		c.Nodes[0].ExecCompute(p, 0, ComputeSpec{Flops: 1, Bytes: 1.2e9, Class: topology.Scalar, MemNUMA: 0})
+	})
+	c.K.RunUntil(sim.Time(10 * sim.Millisecond))
+	if c.Nodes[0].Streams(0) != 1 {
+		t.Fatal("slice not running")
+	}
+	c.K.Shutdown()
+	check("shutdown", c)
+}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/net"
-	"repro/internal/sim"
 	"repro/internal/taskrt"
 	"repro/internal/topology"
 )
@@ -38,9 +37,9 @@ type Options struct {
 	// Scheduler and CommThrottle configure the runtime under test.
 	Scheduler    taskrt.SchedulerPolicy
 	CommThrottle int
-	// Track, when non-nil, is called with the kernel of every simulated
-	// world the sweep builds (campaign accounting; see bench.Meter).
-	Track func(*sim.Kernel)
+	// Track, when non-nil, is called with every simulated world the
+	// sweep builds (campaign accounting; see bench.Meter).
+	Track func(*machine.Cluster)
 }
 
 // Point is one sweep measurement.
@@ -84,7 +83,7 @@ func runOnce(o Options, nworkers int) Point {
 	// coroutines rather than leave them parked.
 	defer c.K.Shutdown()
 	if o.Track != nil {
-		o.Track(c.K)
+		o.Track(c)
 	}
 	w := mpi.NewWorld(c, net.New(c))
 	commCore := spec.LastCoreOfNUMA(spec.NUMANodes() - 1)
